@@ -104,6 +104,20 @@ void BM_KMedoidsPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_KMedoidsPlacement)->Arg(10)->Arg(50);
 
+// Placement at the size where its cost shows: the 1k-node city (~2.3k
+// candidates, 97-step signatures) at 2% IoT.
+void BM_KMedoidsPlacementCity1k(benchmark::State& state) {
+  hydraulics::Network net;
+  networks::make_city(net, networks::city_spec_for_nodes(1000));
+  hydraulics::Simulation baseline(net, {});
+  const auto results = baseline.run();
+  const std::size_t count = sensing::sensors_for_percentage(net, 2.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sensing::place_sensors_kmedoids(net, results, count));
+  }
+}
+BENCHMARK(BM_KMedoidsPlacementCity1k)->Unit(benchmark::kMillisecond);
+
 void BM_BinnedTreeFit(benchmark::State& state) {
   const std::size_t n = 2000, d = 100;
   Rng rng(1);

@@ -26,18 +26,14 @@ std::vector<double> normalized_series(std::vector<double> series) {
 
 }  // namespace
 
-SensorSet place_sensors_kmedoids(const hydraulics::Network& network,
-                                 const hydraulics::SimulationResults& baseline, std::size_t count,
-                                 std::uint64_t seed) {
-  const std::size_t num_candidates = network.num_nodes() + network.num_links();
-  count = std::clamp<std::size_t>(count, 1, num_candidates);
+std::vector<std::vector<double>> placement_signatures(
+    const hydraulics::Network& network, const hydraulics::SimulationResults& baseline) {
   AQUA_REQUIRE(baseline.num_nodes() == network.num_nodes() &&
                    baseline.num_links() == network.num_links(),
                "baseline results do not match the network");
-
   const std::size_t steps = baseline.num_steps();
   std::vector<std::vector<double>> points;
-  points.reserve(num_candidates);
+  points.reserve(network.num_nodes() + network.num_links());
   for (std::size_t v = 0; v < network.num_nodes(); ++v) {
     std::vector<double> series(steps);
     for (std::size_t s = 0; s < steps; ++s) series[s] = baseline.pressure(s, v);
@@ -48,6 +44,15 @@ SensorSet place_sensors_kmedoids(const hydraulics::Network& network,
     for (std::size_t s = 0; s < steps; ++s) series[s] = baseline.flow(s, l);
     points.push_back(normalized_series(std::move(series)));
   }
+  return points;
+}
+
+SensorSet place_sensors_kmedoids(const hydraulics::Network& network,
+                                 const hydraulics::SimulationResults& baseline, std::size_t count,
+                                 std::uint64_t seed) {
+  const std::size_t num_candidates = network.num_nodes() + network.num_links();
+  count = std::clamp<std::size_t>(count, 1, num_candidates);
+  const auto points = placement_signatures(network, baseline);
 
   graph::KMedoidsOptions options;
   options.seed = seed;

@@ -10,11 +10,18 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "hydraulics/simulation.hpp"
 #include "sensing/sensors.hpp"
 
 namespace aqua::sensing {
+
+/// The k-medoids candidate points: one normalized (zero-mean, unit-variance)
+/// baseline time series per node (pressure head), then one per link (flow),
+/// in network index order.
+std::vector<std::vector<double>> placement_signatures(
+    const hydraulics::Network& network, const hydraulics::SimulationResults& baseline);
 
 /// k-medoids placement over all |V|+|E| candidates using the signatures in
 /// `baseline` (a healthy EPS run of the same network). `count` is clamped

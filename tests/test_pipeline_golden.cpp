@@ -21,6 +21,7 @@
 
 #include "core/aquascale.hpp"
 #include "core/inference_engine.hpp"
+#include "graph/kmedoids.hpp"
 
 namespace aqua::core {
 namespace {
@@ -230,6 +231,44 @@ TEST(CorpusGolden, SensorFaultVariants) {
                    make_fault_spec(FaultKind::kSensorBias, 0.5)};
   check_against_golden("corpus_sensor_fault",
                        render_corpus(networks::make_epa_net(), config, 6));
+}
+
+/// Exact rendering of k-medoids sensor placement (Sec. IV-A) on one
+/// network: the placed sensor names plus the clustering behind them
+/// (medoid indices, iteration count, hexfloat total cost).
+std::string render_placement(const std::string& name, const hydraulics::Network& net,
+                             double percent) {
+  hydraulics::Simulation simulation(net, {});
+  const auto baseline = simulation.run();
+  const std::size_t count = sensing::sensors_for_percentage(net, percent);
+  const auto sensors = sensing::place_sensors_kmedoids(net, baseline, count);
+  graph::KMedoidsOptions options;
+  options.seed = 42;  // place_sensors_kmedoids' default seed
+  const auto clustering =
+      graph::kmedoids(sensing::placement_signatures(net, baseline), count, options);
+
+  std::ostringstream out;
+  out << "placement " << name << " percent " << percent << " count " << count << "\n";
+  out << "sensors";
+  for (const auto& sensor : sensors.sensors) out << ' ' << sensor.name;
+  out << "\nmedoids";
+  for (const std::size_t m : clustering.medoids) out << ' ' << m;
+  out << "\niterations " << clustering.iterations << "\ntotal_cost "
+      << hex(clustering.total_cost) << "\n";
+  return out.str();
+}
+
+TEST(PlacementGolden, KMedoidsSensorsOnBuiltinAndCityNetworks) {
+  const auto epa = networks::make_epa_net();
+  const auto wssc = networks::make_wssc_subnet();
+  hydraulics::Network city;
+  networks::make_city(city, networks::city_spec_for_nodes(1000));
+  check_against_golden("placement_kmedoids",
+                       render_placement("epa_net", epa, 10.0) +
+                           render_placement("epa_net", epa, 30.0) +
+                           render_placement("wssc_subnet", wssc, 2.0) +
+                           render_placement("wssc_subnet", wssc, 30.0) +
+                           render_placement("city_1k", city, 2.0));
 }
 
 TEST(PipelineGolden, FusionStagesGoldenOnSyntheticBeliefs) {
